@@ -165,15 +165,9 @@ fn measure(
         )
         .unwrap(),
     );
-    // Size the executor to the offered concurrency (connections × depth): group
-    // commit can only batch PUTs that are *in* their flush window simultaneously,
-    // so fewer workers than in-flight requests caps ops/flip at the worker count.
-    // LSS_SERVER_THREADS still overrides (applied last).
-    let server_config = ServerConfig {
-        server_threads: (connections * depth).clamp(2, 32),
-        ..ServerConfig::default()
-    }
-    .with_env_overrides();
+    // A durable PUT waiting for its commit holds no worker, so the default executor
+    // batches every PUT in flight into one flip whatever its width.
+    let server_config = ServerConfig::default().with_env_overrides();
     let server = Server::start(Arc::clone(&kv), "127.0.0.1:0", server_config).unwrap();
     let addr = server.local_addr().to_string();
 

@@ -55,21 +55,24 @@
 //!
 //! ## Group commit
 //!
-//! With `group_commit_window_us > 0` ([`KvOptions`]), concurrent [`KvStore::flush`]
-//! calls batch into one superblock flip: the first caller becomes the *leader* of a
-//! commit generation, waits out the window while further callers become *riders* of
-//! the same generation, then runs the two-barrier flip once and wakes every rider
-//! with the shared outcome. A rider's mutations are always covered: they completed
-//! before its `flush` call, the generation closes before the flip begins, and the
-//! flip's checkpoint quiesces the tree — so the flipped epoch contains every batched
-//! mutation, and a crash lands on exactly the previous or the batched epoch, never a
-//! partial batch (it is one ordinary epoch). A failed flip fails the *whole*
-//! generation with one shared source error — leader and riders all surface
-//! [`Error::GroupCommitFailed`] around the same source, and the outcome is
-//! published even if the leader unwinds mid-flip, so riders can never hang on a
-//! generation that will never report. `group_commit_window_us = 0` (the default)
-//! short-circuits straight into the flip — byte-for-byte today's per-call
-//! behaviour.
+//! With `group_commit_window_us > 0` ([`KvOptions`]), concurrent flush requests
+//! batch into one superblock flip. The first caller becomes the *leader* of a
+//! commit generation and waits out the window; further callers become *riders*:
+//! [`KvStore::flush_then`] registers the rider's callback with the open generation
+//! and returns at once, so a rider holds no thread while it waits. The leader then
+//! closes the generation, runs the two-barrier flip once, and runs every callback
+//! with the shared outcome. [`KvStore::flush`] is the same join plus a wait for its
+//! own callback — there is one rider mechanism. A rider's mutations are always
+//! covered: they completed before its call, the generation closes before the flip
+//! begins, and the flip's checkpoint quiesces the tree — so the flipped epoch
+//! contains every batched mutation, and a crash lands on exactly the previous or
+//! the batched epoch, never a partial batch (it is one ordinary epoch). A failed
+//! flip fails the *whole* generation with one shared source error — every callback
+//! receives [`Error::GroupCommitFailed`] around the same source — and the outcome
+//! is published even if the leader unwinds mid-flip, so no callback is lost.
+//! Callbacks run on the leader's thread after the flip is published, with no lock
+//! of this store held. `group_commit_window_us = 0` (the default) short-circuits
+//! straight into the flip — byte-for-byte the per-call behaviour.
 
 use crate::buffer_pool::{BufferPool, BufferPoolStats};
 use crate::kv_legacy::{classify_slot, read_legacy_index, LegacyChunk, SlotState, Superblock};
@@ -291,57 +294,75 @@ struct UserAlloc {
     freed_epoch: Vec<PageId>,
 }
 
-/// One group-commit generation: the leader publishes the flip's outcome here and
-/// wakes every rider. `None` = the flip has not finished; `Some(None)` = committed;
-/// `Some(Some(e))` = the flip failed with the shared source error (leader and
-/// riders all surface it as [`Error::GroupCommitFailed`], so callers matching on
-/// the underlying variant behave identically in either role).
-#[derive(Debug, Default)]
-struct CommitGeneration {
-    outcome: std::sync::Mutex<Option<Option<Arc<Error>>>>,
-    done: std::sync::Condvar,
-}
+/// A continuation registered with [`KvStore::flush_then`]: run exactly once with the
+/// outcome of the superblock flip that covers its caller's mutations.
+type FlushCallback = Box<dyn FnOnce(Result<()>) + Send + 'static>;
 
-/// The group-commit coordinator: at most one *open* generation accepts riders at a
-/// time; it closes the moment its leader starts the flip, so later callers lead a
-/// fresh generation (flips themselves serialise on the tree's epoch latch).
-#[derive(Debug, Default)]
+/// The group-commit coordinator: `Some(callbacks)` while a generation is open and
+/// accepts riders. It closes — hands its callbacks to its leader — the moment the
+/// leader starts the flip, so later callers lead a fresh generation (flips
+/// themselves serialise on the tree's epoch latch).
+#[derive(Default)]
 struct GroupCommit {
-    open: std::sync::Mutex<Option<Arc<CommitGeneration>>>,
+    open: Mutex<Option<Vec<FlushCallback>>>,
 }
 
-/// RAII for a generation's leader: on drop it closes the generation (if still the
-/// open one) and publishes `outcome`, waking every rider. The ordinary path sets
-/// the real flip outcome before dropping; if the leader unwinds first — a panic
-/// inside the flip, say — the drop still runs with the pre-seeded failure, so
-/// riders are woken with an error instead of waiting on the condvar forever.
-struct GenerationPublish<'a> {
+impl std::fmt::Debug for GroupCommit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GroupCommit").finish_non_exhaustive()
+    }
+}
+
+/// A generation's leader, from opening the generation to publishing its outcome.
+/// [`Leader::publish`] runs every registered callback once. If the leader unwinds
+/// before publishing — a panic inside the flip, say — the drop closes the
+/// generation and publishes a failure instead, so no callback is ever lost and no
+/// blocked [`KvStore::flush`] caller waits forever.
+struct Leader<'a> {
     coordinator: &'a GroupCommit,
-    generation: &'a Arc<CommitGeneration>,
-    outcome: Option<Arc<Error>>,
+    /// The generation's callbacks once closed; `None` while it is still open.
+    closed: Option<Vec<FlushCallback>>,
+    published: bool,
 }
 
-impl Drop for GenerationPublish<'_> {
-    fn drop(&mut self) {
-        let mut open = self
-            .coordinator
-            .open
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if open
-            .as_ref()
-            .is_some_and(|g| Arc::ptr_eq(g, self.generation))
-        {
-            // An early unwind must not leave a dead generation accepting riders.
-            *open = None;
+impl Leader<'_> {
+    /// Stop accepting riders: later callers lead the next generation.
+    fn close(&mut self) {
+        if self.closed.is_none() {
+            self.closed = Some(self.coordinator.open.lock().take().unwrap_or_default());
         }
-        drop(open);
-        *self
-            .generation
-            .outcome
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(self.outcome.take());
-        self.generation.done.notify_all();
+    }
+
+    /// Close the generation if still open, then run every callback once with the
+    /// shared outcome (`None` = committed). A panicking callback does not keep the
+    /// others from running; the first such panic is returned for the caller to
+    /// resume.
+    fn publish(&mut self, outcome: Option<Arc<Error>>) -> std::thread::Result<()> {
+        self.close();
+        self.published = true;
+        let mut result = Ok(());
+        for callback in self.closed.take().unwrap_or_default() {
+            let outcome = match &outcome {
+                None => Ok(()),
+                Some(shared) => Err(Error::GroupCommitFailed(Arc::clone(shared))),
+            };
+            let ran =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || callback(outcome)));
+            if let (Err(panic), Ok(())) = (ran, &result) {
+                result = Err(panic);
+            }
+        }
+        result
+    }
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        if !self.published {
+            let _ = self.publish(Some(Arc::new(Error::Io(std::io::Error::other(
+                "group-commit leader terminated before publishing an outcome",
+            )))));
+        }
     }
 }
 
@@ -693,78 +714,64 @@ impl KvStore {
     ///
     /// With a non-zero `group_commit_window_us`, concurrent callers batch into one
     /// flip (see the module's *Group commit* section); every caller returns only once
-    /// a superblock covering its mutations is durable.
+    /// a superblock covering its mutations is durable. This is
+    /// [`KvStore::flush_then`] plus a wait for the callback.
     pub fn flush(&self) -> Result<()> {
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        self.flush_then(move |outcome| {
+            let _ = tx.send(outcome);
+        });
+        rx.recv()
+            .expect("group commit runs every callback exactly once")
+    }
+
+    /// [`KvStore::flush`] without waiting: `on_commit` runs exactly once with the
+    /// outcome of a flip that began after this call, so it covers every mutation
+    /// that completed before the call.
+    ///
+    /// A caller that finds a commit generation open registers `on_commit` and
+    /// returns at once. Otherwise the caller leads a generation: it waits out the
+    /// window, flips, and runs every registered callback — its own included — on
+    /// its own thread before returning. Callbacks run after the flip is published,
+    /// with no lock of this store held. If the flip fails, or the leader unwinds
+    /// mid-flip, every callback receives [`Error::GroupCommitFailed`]. With
+    /// `group_commit_window_us = 0` the caller flips and runs `on_commit` inline,
+    /// with the flip's own error; an unwind out of that flip reaches the caller
+    /// itself instead.
+    pub fn flush_then(&self, on_commit: impl FnOnce(Result<()>) + Send + 'static) {
         self.counters.flush_calls.fetch_add(1, Ordering::Relaxed);
         if self.group_commit_window_us == 0 {
-            return self.flip();
+            return on_commit(self.flip());
         }
-        let (generation, leader) = {
-            let mut open = self
-                .group_commit
-                .open
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            match &*open {
-                Some(g) => (Arc::clone(g), false),
-                None => {
-                    let g = Arc::new(CommitGeneration::default());
-                    *open = Some(Arc::clone(&g));
-                    (g, true)
-                }
+        {
+            let mut open = self.group_commit.open.lock();
+            if let Some(riders) = open.as_mut() {
+                // Rider: the leader's flip covers our mutations (they completed
+                // before this call; the generation closes before the flip's
+                // checkpoint).
+                riders.push(Box::new(on_commit));
+                self.counters
+                    .group_commit_riders
+                    .fetch_add(1, Ordering::Relaxed);
+                return;
             }
-        };
-        if !leader {
-            // Rider: the leader's flip covers our mutations (they completed before
-            // this call; the generation closes before the flip's checkpoint).
-            self.counters
-                .group_commit_riders
-                .fetch_add(1, Ordering::Relaxed);
-            let mut outcome = generation.outcome.lock().unwrap_or_else(|e| e.into_inner());
-            while outcome.is_none() {
-                outcome = generation
-                    .done
-                    .wait(outcome)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            return match outcome.as_ref().expect("loop exits only when published") {
-                None => Ok(()),
-                Some(shared) => Err(Error::GroupCommitFailed(Arc::clone(shared))),
-            };
+            *open = Some(vec![Box::new(on_commit)]);
         }
         // Leader: wait out the window so concurrent callers can join, close the
-        // generation (later callers lead the next one), flip once, publish. The
-        // guard publishes on every exit — including an unwind out of the flip — so
-        // a dying leader can never strand its riders in the condvar wait.
-        let mut publish = GenerationPublish {
+        // generation, flip once, publish. The guard publishes on every exit —
+        // including an unwind out of the flip — so no callback is stranded.
+        let mut leader = Leader {
             coordinator: &self.group_commit,
-            generation: &generation,
-            outcome: Some(Arc::new(Error::Io(std::io::Error::other(
-                "group-commit leader terminated before publishing an outcome",
-            )))),
+            closed: None,
+            published: false,
         };
         std::thread::sleep(std::time::Duration::from_micros(
             self.group_commit_window_us,
         ));
-        *self
-            .group_commit
-            .open
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = None;
-        match self.flip() {
-            Ok(()) => {
-                publish.outcome = None;
-                drop(publish);
-                Ok(())
-            }
-            Err(e) => {
-                // One shared source for the whole generation: the leader returns
-                // the same variant its riders see.
-                let shared = Arc::new(e);
-                publish.outcome = Some(Arc::clone(&shared));
-                drop(publish);
-                Err(Error::GroupCommitFailed(shared))
-            }
+        leader.close();
+        let outcome = self.flip().err().map(Arc::new);
+        if let Err(panic) = leader.publish(outcome) {
+            std::panic::resume_unwind(panic);
         }
     }
 
@@ -1123,48 +1130,43 @@ mod tests {
     }
 
     #[test]
-    fn a_dying_leader_publishes_failure_and_closes_its_generation() {
-        // Regression: a leader that unwinds mid-flip must not strand its riders
-        // on the condvar (they would otherwise wait for an outcome nobody will
-        // publish) nor leave the dead generation open to accept more riders.
+    fn a_dying_leader_runs_every_callback_and_closes_its_generation() {
+        // Regression: a leader that unwinds mid-flip must still hand every
+        // registered callback a failure — a lost callback is a reply that never
+        // leaves, or a blocked flush that never returns — and must not leave the
+        // dead generation open to accept more riders.
         let coordinator = GroupCommit::default();
-        let generation = Arc::new(CommitGeneration::default());
-        *coordinator.open.lock().unwrap() = Some(Arc::clone(&generation));
-        std::thread::scope(|scope| {
-            let rider = {
-                let generation = Arc::clone(&generation);
-                scope.spawn(move || {
-                    let mut outcome = generation.outcome.lock().unwrap_or_else(|e| e.into_inner());
-                    while outcome.is_none() {
-                        outcome = generation
-                            .done
-                            .wait(outcome)
-                            .unwrap_or_else(|e| e.into_inner());
-                    }
-                    outcome.clone().expect("loop exits only when published")
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let callbacks: Vec<FlushCallback> = (0..3)
+            .map(|i| {
+                let calls = Arc::clone(&calls);
+                Box::new(move |outcome: Result<()>| calls.lock().push((i, outcome.is_ok())))
+                    as FlushCallback
+            })
+            .collect();
+        *coordinator.open.lock() = Some(callbacks);
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _leader = Leader {
+                        coordinator: &coordinator,
+                        closed: None,
+                        published: false,
+                    };
+                    panic!("simulated flip panic");
                 })
-            };
-            let leader = scope.spawn(|| {
-                let _publish = GenerationPublish {
-                    coordinator: &coordinator,
-                    generation: &generation,
-                    outcome: Some(Arc::new(Error::Io(std::io::Error::other(
-                        "leader died mid-flip",
-                    )))),
-                };
-                panic!("simulated flip panic");
-            });
-            assert!(leader.join().is_err(), "the leader must have panicked");
-            let outcome = rider.join().expect("rider must be woken, not stranded");
-            let err = outcome.expect("a dying leader publishes an error, not success");
-            assert!(err.to_string().contains("leader died mid-flip"));
+                .join()
         });
+        assert!(died.is_err(), "the leader must have panicked");
+        let mut calls = calls.lock().clone();
+        calls.sort_unstable();
+        assert_eq!(
+            calls,
+            vec![(0, false), (1, false), (2, false)],
+            "every callback runs exactly once, with a failure"
+        );
         assert!(
-            coordinator
-                .open
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_none(),
+            coordinator.open.lock().is_none(),
             "the dead generation must not keep accepting riders"
         );
     }

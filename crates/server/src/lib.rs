@@ -4,9 +4,10 @@
 //! protocol specified normatively in **docs/PROTOCOL.md**: CRC32C-checked frames,
 //! out-of-order-safe correlation ids, pipelined requests executed on a pluggable
 //! [`executor::Executor`] (the default is the shared-queue thread pool sized by
-//! [`ServerConfig::server_threads`]), and group-batched replies — concurrent durable
-//! PUTs share one superblock flip through the store's group-commit window, and
-//! replies completing together share one socket flush.
+//! [`ServerConfig::server_threads`]), and group-batched replies — every durable op
+//! in flight shares one superblock flip through the store's group-commit window,
+//! without holding a worker while it waits, and replies completing together share
+//! one socket flush.
 //!
 //! Most clients should use the `lss-client` crate rather than this crate's
 //! [`protocol`] module directly; operators run the `lss-server` binary (see
@@ -30,23 +31,21 @@
 //! ).unwrap());
 //! let server = Server::start(Arc::clone(&kv), "127.0.0.1:0", ServerConfig::default()).unwrap();
 //!
-//! // One durable PUT and one GET, framed by hand per docs/PROTOCOL.md §3.
+//! // One durable PUT, then one GET, framed by hand per docs/PROTOCOL.md §3. The
+//! // GET waits for the PUT's ack: pipelined requests may run and reply in any
+//! // order (§7).
 //! let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-//! for (corr, req) in [
-//!     (1, Request::Put { key: b"k".to_vec(), value: b"v".to_vec(), durable: true }),
-//!     (2, Request::Get { key: b"k".to_vec() }),
-//! ] {
+//! let mut call = |corr: u64, req: Request| {
 //!     let mut payload = Vec::new();
 //!     req.encode_payload(&mut payload);
 //!     protocol::write_frame(&mut sock, req.opcode(), corr, &payload).unwrap();
-//! }
-//! let put = protocol::read_frame(&mut sock, protocol::MAX_FRAME_BYTES).unwrap().unwrap();
-//! let get = protocol::read_frame(&mut sock, protocol::MAX_FRAME_BYTES).unwrap().unwrap();
-//! assert_eq!(Response::decode(put.opcode, &put.payload).unwrap(), Response::Put);
-//! assert_eq!(
-//!     Response::decode(get.opcode, &get.payload).unwrap(),
-//!     Response::Get(Some(b"v".to_vec())),
-//! );
+//!     let reply = protocol::read_frame(&mut sock, protocol::MAX_FRAME_BYTES).unwrap().unwrap();
+//!     assert_eq!(reply.corr_id, corr);
+//!     Response::decode(reply.opcode, &reply.payload).unwrap()
+//! };
+//! let put = Request::Put { key: b"k".to_vec(), value: b"v".to_vec(), durable: true };
+//! assert_eq!(call(1, put), Response::Put);
+//! assert_eq!(call(2, Request::Get { key: b"k".to_vec() }), Response::Get(Some(b"v".to_vec())));
 //! server.shutdown();
 //! ```
 

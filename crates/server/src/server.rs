@@ -7,16 +7,22 @@
 //!                     │  read_frame → CRC/magic/version verify → Request::decode
 //!                     ▼
 //!                 Executor (shared-queue pool, `server_threads` workers)
-//!                     │  execute against Arc<KvStore>  (puts ride group commit)
-//!                     ▼
+//!                     │  execute against Arc<KvStore>
+//!                     ├─ GET/SCAN/STATS, buffered PUT/DELETE: reply at once
+//!                     └─ durable PUT/DELETE, FLUSH: apply the mutation, hand the
+//!                        reply to KvStore::flush_then, free the worker
+//!                     ▼            (the commit leader's thread, after the flip)
 //!                 per-connection writer mutex ──► socket (group-flushed replies)
 //! ```
 //!
-//! Two batching effects stack here: concurrent durable PUTs share one superblock
-//! flip through the KV layer's `group_commit_window_us` (PROTOCOL.md §5.2), and
-//! replies completing while more requests are in flight share one socket flush
-//! (PROTOCOL.md §7) — the writer mutex holder only flushes when it is the last
-//! reply in flight for that connection.
+//! Two batching effects stack here. Every durable op in flight shares one
+//! superblock flip: its reply waits on the KV layer's open group-commit generation
+//! (`group_commit_window_us`, PROTOCOL.md §5.2) without holding a worker, and is
+//! sent by the generation's leader once the flip is published. Replies completing
+//! while more requests are in flight share one socket flush (PROTOCOL.md §7) — the
+//! writer mutex holder only flushes when it is the last reply in flight for that
+//! connection. The leader of a generation still occupies its own worker for the
+//! window and the flip, so with `server_threads = 1` nothing can join it.
 
 use crate::executor::{Executor, SharedQueueExecutor};
 use crate::protocol::{
@@ -329,8 +335,22 @@ fn connection_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
         let corr_id = frame.corr_id;
         let accepted = shared.executor.submit(Box::new(move || {
             let mut payload = Vec::new();
-            execute_into(&job_shared, request, &mut payload);
-            job_conn.send_reply(&job_shared, opcode, corr_id, &payload);
+            match execute_into(&job_shared, request, &mut payload) {
+                Ack::Now => job_conn.send_reply(&job_shared, opcode, corr_id, &payload),
+                Ack::AfterCommit => {
+                    let kv = Arc::clone(&job_shared.kv);
+                    kv.flush_then(move |outcome| {
+                        if let Err(e) = outcome {
+                            job_shared
+                                .counters
+                                .store_errors
+                                .fetch_add(1, Ordering::Relaxed);
+                            payload = vec![status_of_store(&e)];
+                        }
+                        job_conn.send_reply(&job_shared, opcode, corr_id, &payload);
+                    });
+                }
+            }
         }));
         if !accepted {
             conn.send_reply(shared, opcode, corr_id, &[ERR_SHUTTING_DOWN]);
@@ -352,10 +372,20 @@ fn status_of_store(e: &Error) -> u8 {
     }
 }
 
+/// When a reply may leave.
+enum Ack {
+    /// `payload` is the reply.
+    Now,
+    /// `payload` is the reply once a flip that begins after the request's mutation
+    /// commits; a failed flip replaces it with an error status (PROTOCOL.md §5.2).
+    AfterCommit,
+}
+
 /// Execute a request against the store, encoding the response payload directly into
 /// `payload` — GET and SCAN copy value bytes exactly once, store buffer → reply
-/// frame, with no intermediate `Vec` per value.
-fn execute_into(shared: &Shared, request: Request, payload: &mut Vec<u8>) {
+/// frame, with no intermediate `Vec` per value. Durable mutations and FLUSH are
+/// applied here but not committed: they return [`Ack::AfterCommit`].
+fn execute_into(shared: &Shared, request: Request, payload: &mut Vec<u8>) -> Ack {
     let kv = &shared.kv;
     let c = &shared.counters;
     match request {
@@ -385,13 +415,15 @@ fn execute_into(shared: &Shared, request: Request, payload: &mut Vec<u8>) {
         } => {
             c.puts.fetch_add(1, Ordering::Relaxed);
             // PROTOCOL.md §5.2: a durable PUT acks only after the commit covering
-            // it; concurrent callers batch into one superblock flip through the KV
-            // layer's group-commit window.
-            let res = kv
-                .put(&key, &value)
-                .and_then(|()| if durable { kv.flush() } else { Ok(()) });
-            match res {
-                Ok(()) => payload.push(STATUS_OK),
+            // it; every durable op in flight rides one superblock flip through the
+            // KV layer's group-commit window.
+            match kv.put(&key, &value) {
+                Ok(()) => {
+                    payload.push(STATUS_OK);
+                    if durable {
+                        return Ack::AfterCommit;
+                    }
+                }
                 Err(e) => {
                     c.store_errors.fetch_add(1, Ordering::Relaxed);
                     payload.push(status_of_store(&e));
@@ -400,17 +432,13 @@ fn execute_into(shared: &Shared, request: Request, payload: &mut Vec<u8>) {
         }
         Request::Delete { key, durable } => {
             c.deletes.fetch_add(1, Ordering::Relaxed);
-            let res = kv.delete(&key).and_then(|existed| {
-                if durable {
-                    kv.flush().map(|()| existed)
-                } else {
-                    Ok(existed)
-                }
-            });
-            match res {
+            match kv.delete(&key) {
                 Ok(existed) => {
                     payload.push(STATUS_OK);
                     payload.push(u8::from(existed));
+                    if durable {
+                        return Ack::AfterCommit;
+                    }
                 }
                 Err(e) => {
                     c.store_errors.fetch_add(1, Ordering::Relaxed);
@@ -467,13 +495,8 @@ fn execute_into(shared: &Shared, request: Request, payload: &mut Vec<u8>) {
         }
         Request::Flush => {
             c.flushes.fetch_add(1, Ordering::Relaxed);
-            match kv.flush() {
-                Ok(()) => payload.push(STATUS_OK),
-                Err(e) => {
-                    c.store_errors.fetch_add(1, Ordering::Relaxed);
-                    payload.push(status_of_store(&e));
-                }
-            }
+            payload.push(STATUS_OK);
+            return Ack::AfterCommit;
         }
         Request::Stats => {
             c.stats_calls.fetch_add(1, Ordering::Relaxed);
@@ -481,6 +504,7 @@ fn execute_into(shared: &Shared, request: Request, payload: &mut Vec<u8>) {
             Response::Stats(json).encode_payload(payload);
         }
     }
+    Ack::Now
 }
 
 /// The STATS document (PROTOCOL.md §5.6). Fields documented in docs/OPERATIONS.md;

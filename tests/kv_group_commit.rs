@@ -7,16 +7,22 @@
 //!   flips than calls, every caller's mutations must be durable once its call
 //!   returns `Ok`, and a failed flip must surface the error to *every* caller of the
 //!   batched generation — a rider must never report durability its leader failed to
-//!   deliver.
+//!   deliver;
+//! * riders that join with a callback ([`KvStore::flush_then`]) get exactly one
+//!   outcome each, even when the flip fails or the leader unwinds mid-flip, and no
+//!   rider of either kind hangs.
 
 mod common;
 
 use common::{apply_env_concurrency, CrashPointDevice};
 use lss::btree::kv::{KvOptions, KvStore};
+use lss::core::device::{DeviceGeometry, MemDevice, SegmentDevice};
 use lss::core::policy::PolicyKind;
-use lss::core::{Error, LogStore, StoreConfig};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use lss::core::{Error, LogStore, Result, SegmentId, StoreConfig};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::Duration;
 
 fn config() -> StoreConfig {
     let mut c = apply_env_concurrency(StoreConfig::small_for_tests().with_policy(PolicyKind::Mdc));
@@ -216,4 +222,234 @@ fn riders_observe_the_leaders_failure() {
         b"committed"
     );
     assert!(reopened.get(b"u0000").unwrap().is_none());
+}
+
+/// A flush caller stuck longer than this is a hang, not a slow flip.
+const HANG_LIMIT: Duration = Duration::from_secs(60);
+
+/// Run `scenario` on a thread of its own and fail if it does not finish within
+/// [`HANG_LIMIT`]: a stranded rider must fail the test, not wedge the suite.
+fn without_hanging<T: Send + 'static>(scenario: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(scenario());
+    });
+    match rx.recv_timeout(HANG_LIMIT) {
+        Ok(value) => {
+            handle.join().expect("the scenario thread finished");
+            value
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("a flush caller hung for {HANG_LIMIT:?}"),
+        Err(RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the scenario sends before it returns"),
+        },
+    }
+}
+
+/// How each caller of one batched generation joined it.
+#[derive(Clone, Copy)]
+enum Caller {
+    Blocking,
+    Callback(usize),
+}
+
+/// The callers of [`flush_storm`]: blocking flushers and callback riders mixed.
+const CALLERS: [Caller; 6] = [
+    Caller::Blocking,
+    Caller::Callback(0),
+    Caller::Callback(1),
+    Caller::Blocking,
+    Caller::Callback(2),
+    Caller::Callback(3),
+];
+
+/// What a [`flush_storm`] observed.
+struct StormOutcome {
+    /// Each blocking flusher's result; `None` if its thread panicked.
+    blocking: Vec<Option<Result<()>>>,
+    /// Every outcome a callback received, tagged with the callback's index.
+    callbacks: Vec<(usize, Result<()>)>,
+    /// Caller threads that panicked (leaders that unwound mid-flip).
+    panicked: usize,
+}
+
+/// Start every caller of [`CALLERS`] at once against `kv` — so they batch into
+/// the generation the first of them opens — and collect what each observed once
+/// all have returned. A leader runs every callback before it returns, so when the
+/// threads are joined every callback that will ever run has run.
+fn flush_storm(kv: &Arc<KvStore>) -> StormOutcome {
+    let callbacks = Arc::new(Mutex::new(Vec::new()));
+    let start = Arc::new(Barrier::new(CALLERS.len()));
+    let handles: Vec<_> = CALLERS
+        .iter()
+        .map(|&caller| {
+            let (kv, callbacks, start) = (kv.clone(), callbacks.clone(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                match caller {
+                    Caller::Blocking => Some(kv.flush()),
+                    Caller::Callback(i) => {
+                        kv.flush_then(move |outcome| callbacks.lock().unwrap().push((i, outcome)));
+                        None
+                    }
+                }
+            })
+        })
+        .collect();
+    let mut out = StormOutcome {
+        blocking: Vec::new(),
+        callbacks: Vec::new(),
+        panicked: 0,
+    };
+    for (caller, handle) in CALLERS.iter().zip(handles) {
+        match (caller, handle.join()) {
+            (Caller::Blocking, Ok(result)) => out.blocking.push(result),
+            (Caller::Blocking, Err(_)) => {
+                out.blocking.push(None);
+                out.panicked += 1;
+            }
+            (Caller::Callback(_), Ok(_)) => {}
+            (Caller::Callback(_), Err(_)) => out.panicked += 1,
+        }
+    }
+    out.callbacks = std::mem::take(&mut *callbacks.lock().unwrap());
+    out
+}
+
+/// Assert that every callback ran exactly once, and that none of them saw `Ok`.
+fn assert_each_callback_failed_once(callbacks: &[(usize, Result<()>)]) {
+    let mut seen: Vec<usize> = callbacks.iter().map(|(i, _)| *i).collect();
+    seen.sort_unstable();
+    let expected: Vec<usize> = CALLERS
+        .iter()
+        .filter_map(|c| match c {
+            Caller::Callback(i) => Some(*i),
+            Caller::Blocking => None,
+        })
+        .collect();
+    assert_eq!(seen, expected, "every callback runs exactly once");
+    for (i, outcome) in callbacks {
+        assert!(
+            matches!(outcome, Err(Error::GroupCommitFailed(_))),
+            "callback {i} got {outcome:?}, not the generation's failure"
+        );
+    }
+}
+
+/// A KV store on `device` with a 100 ms window, holding committed and
+/// uncommitted keys.
+fn kv_with_pending_writes(device: Box<dyn SegmentDevice>) -> Arc<KvStore> {
+    let store = LogStore::open_with_device(config(), device).unwrap();
+    let kv = KvStore::open_with(
+        store,
+        KvOptions {
+            group_commit_window_us: 100_000,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    for i in 0..150u32 {
+        kv.put(format!("c{i:04}").as_bytes(), b"committed").unwrap();
+    }
+    kv.flush().unwrap();
+    for i in 0..150u32 {
+        kv.put(format!("u{i:04}").as_bytes(), b"uncommitted")
+            .unwrap();
+    }
+    Arc::new(kv)
+}
+
+/// A failed flip hands each callback rider exactly one `GroupCommitFailed` —
+/// never an `Ok` — and fails every blocking rider too; nobody hangs.
+#[test]
+fn callback_riders_each_get_one_failure_when_the_flip_fails() {
+    let cfg = config();
+    let device = CrashPointDevice::new(cfg.segment_bytes, cfg.num_segments);
+    let kv = kv_with_pending_writes(Box::new(device.clone()));
+    let riders_before = kv.stats().group_commit_riders;
+    device.fail_after(0); // every further device write fails: the flip cannot land
+    let storm = without_hanging({
+        let kv = kv.clone();
+        move || flush_storm(&kv)
+    });
+    assert_eq!(storm.panicked, 0);
+    assert_each_callback_failed_once(&storm.callbacks);
+    for (_, outcome) in &storm.callbacks {
+        assert!(
+            matches!(outcome, Err(Error::GroupCommitFailed(src)) if matches!(**src, Error::Io(_))),
+            "expected the device failure as the shared source, got {outcome:?}"
+        );
+    }
+    for result in &storm.blocking {
+        assert!(
+            matches!(result, Some(Err(Error::GroupCommitFailed(_)))),
+            "a blocking rider reported {result:?} for a flip that failed"
+        );
+    }
+    assert!(
+        kv.stats().group_commit_riders > riders_before,
+        "no caller rode the generation"
+    );
+}
+
+/// A device whose `sync` panics once armed: the flip's first barrier then unwinds
+/// out of the group-commit leader.
+struct PanicOnSync {
+    inner: MemDevice,
+    armed: Arc<AtomicBool>,
+}
+
+impl SegmentDevice for PanicOnSync {
+    fn geometry(&self) -> DeviceGeometry {
+        self.inner.geometry()
+    }
+    fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
+        self.inner.read_segment(seg)
+    }
+    fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
+        self.inner.read_range(seg, offset, len)
+    }
+    fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()> {
+        self.inner.write_segment(seg, image)
+    }
+    fn erase_segment(&self, seg: SegmentId) -> Result<()> {
+        self.inner.erase_segment(seg)
+    }
+    fn sync(&self) -> Result<()> {
+        assert!(
+            !self.armed.load(Ordering::SeqCst),
+            "simulated panic inside the flip's sync"
+        );
+        self.inner.sync()
+    }
+    fn segment_writes(&self) -> u64 {
+        self.inner.segment_writes()
+    }
+}
+
+/// A leader that unwinds mid-flip still runs every registered callback exactly
+/// once, with a failure, and wakes every blocking rider; nobody hangs.
+#[test]
+fn a_leader_unwinding_mid_flip_runs_every_callback_once() {
+    let cfg = config();
+    let armed = Arc::new(AtomicBool::new(false));
+    let kv = kv_with_pending_writes(Box::new(PanicOnSync {
+        inner: MemDevice::new(cfg.segment_bytes, cfg.num_segments),
+        armed: armed.clone(),
+    }));
+    armed.store(true, Ordering::SeqCst);
+    let storm = without_hanging({
+        let kv = kv.clone();
+        move || flush_storm(&kv)
+    });
+    assert!(storm.panicked >= 1, "no leader unwound");
+    assert_each_callback_failed_once(&storm.callbacks);
+    for result in storm.blocking.iter().flatten() {
+        assert!(
+            matches!(result, Err(Error::GroupCommitFailed(_))),
+            "a blocking rider reported {result:?} for a leader that died"
+        );
+    }
+    armed.store(false, Ordering::SeqCst);
 }

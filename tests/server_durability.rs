@@ -1,10 +1,11 @@
 //! The server's durability contract, end to end over real sockets: every PUT the
 //! server has OK-acked as durable (PROTOCOL.md §5.2) must be readable after the
 //! process and device come back — even when the device died mid-storm at a seeded
-//! write boundary. Three writer clients pipeline durable PUTs (§7) at depth 8, the
+//! write boundary. Writer clients pipeline durable PUTs (§7) at depth 8, the
 //! backing [`common::CrashPointDevice`] is killed under them, and recovery from the
 //! surviving bytes alone must contain every acked key. `LSS_STRESS_SEED` varies the
-//! crash boundary per CI stress iteration.
+//! crash boundary per CI stress iteration. A durable PUT waiting for its commit
+//! holds no worker, so one flip carries more PUTs than there are workers.
 
 mod common;
 
@@ -20,8 +21,30 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-const WRITERS: usize = 3;
 const DEPTH: usize = 8;
+
+/// The shape of one storm: writer connections, server workers and the
+/// group-commit window.
+#[derive(Clone, Copy)]
+struct Storm {
+    writers: usize,
+    server_threads: usize,
+    window_us: u64,
+}
+
+/// Three writers against the default executor.
+const DEFAULT_STORM: Storm = Storm {
+    writers: 3,
+    server_threads: 0,
+    window_us: 200,
+};
+
+/// What a storm left behind: the acked keys per writer and the superblock flips
+/// the store made while it ran.
+struct StormResult {
+    acked: Vec<Vec<u32>>,
+    flips: u64,
+}
 
 fn config() -> StoreConfig {
     let mut c = apply_env_concurrency(StoreConfig::small_for_tests().with_policy(PolicyKind::Mdc));
@@ -90,27 +113,37 @@ fn writer_storm(addr: &str, writer: usize, puts: u32) -> Vec<u32> {
     acked
 }
 
-/// Run the three-writer storm against a server on `device`, optionally killing the
-/// device after `fail_after` more segment writes. Returns the acked keys per writer.
-fn run_storm(device: &CrashPointDevice, fail_after: Option<u64>, puts: u32) -> Vec<Vec<u32>> {
+/// Run a storm against a server on `device`, optionally killing the device after
+/// `fail_after` more segment writes.
+fn run_storm(
+    device: &CrashPointDevice,
+    storm: Storm,
+    fail_after: Option<u64>,
+    puts: u32,
+) -> StormResult {
     let store =
         LogStore::open_with_device(config(), Box::new(device.clone())).expect("fresh store");
     let kv = Arc::new(
         KvStore::open_with(
             store,
             KvOptions {
-                group_commit_window_us: 200,
+                group_commit_window_us: storm.window_us,
                 ..KvOptions::default()
             },
         )
         .unwrap(),
     );
-    let server = Server::start(Arc::clone(&kv), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server_config = ServerConfig {
+        server_threads: storm.server_threads,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(Arc::clone(&kv), "127.0.0.1:0", server_config).unwrap();
     let addr = server.local_addr().to_string();
+    let flips_before = kv.stats().superblock_commits;
     if let Some(budget) = fail_after {
         device.fail_after(budget);
     }
-    let writers: Vec<_> = (0..WRITERS)
+    let writers: Vec<_> = (0..storm.writers)
         .map(|w| {
             let addr = addr.clone();
             std::thread::spawn(move || writer_storm(&addr, w, puts))
@@ -119,8 +152,9 @@ fn run_storm(device: &CrashPointDevice, fail_after: Option<u64>, puts: u32) -> V
     let acked: Vec<Vec<u32>> = writers.into_iter().map(|h| h.join().unwrap()).collect();
     server.shutdown();
     drop(server);
+    let flips = kv.stats().superblock_commits - flips_before;
     drop(kv); // stop the old store's background threads before the device heals
-    acked
+    StormResult { acked, flips }
 }
 
 /// Recover from the device bytes alone and assert every acked key reads back its
@@ -152,7 +186,7 @@ fn check_recovery(device: &CrashPointDevice, acked: &[Vec<u32>]) {
 fn clean_restart_keeps_every_acked_write() {
     let cfg = config();
     let device = CrashPointDevice::new(cfg.segment_bytes, cfg.num_segments);
-    let acked = run_storm(&device, None, 200);
+    let acked = run_storm(&device, DEFAULT_STORM, None, 200).acked;
     // A graceful run acks everything it sent.
     for (writer, keys) in acked.iter().enumerate() {
         assert_eq!(keys.len(), 200, "writer {writer} lost acks without a crash");
@@ -170,7 +204,7 @@ fn device_crash_mid_storm_keeps_every_acked_write() {
         let budget = rng.gen_range(5..120u64);
         let cfg = config();
         let device = CrashPointDevice::new(cfg.segment_bytes, cfg.num_segments);
-        let acked = run_storm(&device, Some(budget), 400);
+        let acked = run_storm(&device, DEFAULT_STORM, Some(budget), 400).acked;
         let total: usize = acked.iter().map(Vec::len).sum();
         // The interesting half of the matrix is a crash with acks outstanding, but a
         // budget large enough for a full run is also a valid (clean) data point.
@@ -179,4 +213,34 @@ fn device_crash_mid_storm_keeps_every_acked_write() {
             "seed {seed:#x} round {round}: budget {budget} writes, {total} acked PUTs survived"
         );
     }
+}
+
+/// Durable PUTs waiting for their commit hold no worker: with 2 workers and 16
+/// durable PUTs in flight, one flip must carry more PUTs than there are workers.
+/// (If each waiting PUT held a worker, at most 2 could share a flip.) Every acked
+/// PUT must then survive a crash.
+#[test]
+fn one_flip_carries_more_durable_puts_than_workers() {
+    const WORKERS: usize = 2;
+    let storm = Storm {
+        writers: 2,
+        server_threads: WORKERS,
+        window_us: 1_000,
+    };
+    let cfg = config();
+    let device = CrashPointDevice::new(cfg.segment_bytes, cfg.num_segments);
+    let result = run_storm(&device, storm, None, 200);
+    let acked: usize = result.acked.iter().map(Vec::len).sum();
+    assert_eq!(acked, 400, "a graceful run acks everything it sent");
+    assert!(
+        acked as u64 > WORKERS as u64 * result.flips,
+        "{acked} acked durable PUTs took {} flips: no flip carried more PUTs than \
+         the {WORKERS} workers",
+        result.flips
+    );
+    println!(
+        "{acked} acked durable PUTs over {} flips with {WORKERS} workers",
+        result.flips
+    );
+    check_recovery(&device, &result.acked);
 }
